@@ -22,7 +22,7 @@
 use crate::fleet::FleetState;
 use crate::policy::{DecisionContext, Policy};
 use crate::sim::{SimConfig, SimResult};
-use pricing::{CostBreakdown, CostModel, FileDay, Money, TIER_COUNT};
+use pricing::{CostBreakdown, CostModel, FileDay, Money, Tier, TIER_COUNT};
 use std::time::Instant;
 use tracegen::{FileId, Trace};
 
@@ -103,45 +103,21 @@ pub fn run_shard(
 
     for day in 0..days {
         // Decision phase, refilling the hoisted buffer in place.
-        let decided = if day % cfg.decide_every.max(1) == 0 {
+        let decided = day % cfg.decide_every.max(1) == 0;
+        if decided {
             let ctx = DecisionContext { day, fleet, model, batch: indices, current: &current };
             let start = Instant::now();
             policy.decide_batch_into(&ctx, &mut decision);
             decision_millis.push(start.elapsed().as_secs_f64() * 1e3);
             assert_eq!(decision.len(), m, "policy must decide every file in the batch");
-            true
-        } else {
-            false
-        };
+        }
 
         // Billing phase, in ascending global index order.
-        let mut breakdown = CostBreakdown::default();
-        for (slot, &ix) in indices.iter().enumerate() {
-            let target = if decided { decision[slot] } else { current[slot] };
-            let changed_from = if target != current[slot] {
-                tier_changes += 1;
-                Some(current[slot])
-            } else {
-                None
-            };
-            let (reads, writes) = fleet.day_counts(ix, day);
-            let day_bill = model.day_breakdown(&FileDay {
-                size_gb: fleet.size_gb(ix),
-                reads,
-                writes,
-                tier: target,
-                changed_from,
-            });
-            per_file[slot] += day_bill.total();
-            breakdown += day_bill;
-            current[slot] = target;
-        }
-        daily.push(breakdown);
-        let mut counts = [0usize; TIER_COUNT];
-        for &tier in &current {
-            counts[tier.index()] += 1;
-        }
-        occupancy.push(counts);
+        let decided = decided.then_some(decision.as_slice());
+        let bill = bill_day(fleet, model, day, indices, decided, &mut current, &mut per_file);
+        tier_changes += bill.tier_changes;
+        daily.push(bill.breakdown);
+        occupancy.push(bill.occupancy);
     }
 
     ShardRun {
@@ -152,6 +128,58 @@ pub fn run_shard(
         tier_changes,
         occupancy,
     }
+}
+
+/// What one day's billing sweep adds to the ledgers of a batch.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct DayBill {
+    /// The day's cost components summed over the batch.
+    pub breakdown: CostBreakdown,
+    /// Files whose tier changed this day.
+    pub tier_changes: u64,
+    /// Batch files resident in each tier at the end of the day.
+    pub occupancy: [usize; TIER_COUNT],
+}
+
+/// The one billing sweep, shared by [`run_shard`] and the serve loop: in
+/// batch order, file `indices[slot]` moves from `current[slot]` to
+/// `decision[slot]` (stays when `decision` is `None`) and pays that day's
+/// [`CostModel::day_breakdown`] on its [`FleetState::day_counts`] into
+/// `per_file[slot]`.
+pub fn bill_day(
+    fleet: &FleetState,
+    model: &CostModel,
+    day: usize,
+    indices: &[usize],
+    decision: Option<&[Tier]>,
+    current: &mut [Tier],
+    per_file: &mut [Money],
+) -> DayBill {
+    let mut bill = DayBill::default();
+    for (slot, ((&ix, cur), paid)) in
+        indices.iter().zip(current.iter_mut()).zip(per_file.iter_mut()).enumerate()
+    {
+        let target = decision.and_then(|d| d.get(slot)).copied().unwrap_or(*cur);
+        let changed_from = (target != *cur).then_some(*cur);
+        bill.tier_changes += u64::from(changed_from.is_some());
+        let (reads, writes) = fleet.day_counts(ix, day);
+        let day_bill = model.day_breakdown(&FileDay {
+            size_gb: fleet.size_gb(ix),
+            reads,
+            writes,
+            tier: target,
+            changed_from,
+        });
+        *paid += day_bill.total();
+        bill.breakdown += day_bill;
+        *cur = target;
+    }
+    for tier in current.iter() {
+        if let Some(count) = bill.occupancy.get_mut(tier.index()) {
+            *count += 1;
+        }
+    }
+    bill
 }
 
 /// Merges shard accumulators into one [`SimResult`], iterating `shards` in

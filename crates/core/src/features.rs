@@ -55,8 +55,8 @@ impl FeatureConfig {
     /// Builds the feature vector for `file` on the morning of `day`
     /// (observing only days `< day`), residing in `tier`.
     ///
-    /// Days before the trace start are zero-padded, so the encoder is
-    /// total: any `day <= file.days()` is valid.
+    /// History slots before the trace start read as the observed mean, so
+    /// any `day <= file.days()` is valid.
     #[must_use]
     pub fn encode(&self, file: &FileSeries, day: usize, tier: Tier) -> Vec<f64> {
         self.encode_state(&file.reads, &file.writes, file.size_gb, day, tier)
@@ -99,22 +99,13 @@ impl FeatureConfig {
         assert_eq!(current.len(), view.len(), "one current tier per batch slot");
         block.reset(view.len(), self.state_dim());
         for (slot, &tier) in current.iter().enumerate() {
-            self.encode_slices(
-                block.row_mut(slot),
-                view.reads(slot),
-                view.writes(slot),
-                view.size_gb(slot),
-                view.day(),
-                tier,
-            );
+            let seen = view.observed(slot, self.window);
+            self.encode_observed(block.row_mut(slot), &seen, view.size_gb(slot), view.day(), tier);
         }
     }
 
-    /// The featurization kernel: writes the state for one file (given its
-    /// raw daily `reads`/`writes` columns and `size_gb`) on the morning of
-    /// `day` in `tier` into `out`, which must be exactly
-    /// [`FeatureConfig::state_dim`] long. Every other encoder is a wrapper
-    /// over this, so all paths share one floating-point evaluation order.
+    /// [`FeatureConfig::encode`] over raw series from day 0, written into
+    /// `out`, which must be exactly [`FeatureConfig::state_dim`] long.
     pub fn encode_slices(
         &self,
         out: &mut [f64],
@@ -126,54 +117,77 @@ impl FeatureConfig {
     ) {
         assert!(day <= reads.len(), "day beyond series");
         assert_eq!(out.len(), self.state_dim(), "output row width mismatch");
+        let seen = Observed::from_series(reads, writes, day, self.window);
+        self.encode_observed(out, &seen, size_gb, day, tier);
+    }
 
+    /// The featurization kernel: the state of a file of `size_gb` in `tier`
+    /// that observed `seen` by the morning of absolute `day`, written into
+    /// `out`. Every other encoder wraps it, so full series and serve's
+    /// rolling window share one floating-point evaluation order.
+    pub fn encode_observed(
+        &self,
+        out: &mut [f64],
+        seen: &Observed<'_>,
+        size_gb: f64,
+        day: usize,
+        tier: Tier,
+    ) {
         // Mean over the observed prefix (not the future!) for normalization.
-        let observed = &reads[..day];
-        let mean = if observed.is_empty() {
-            0.0
-        } else {
-            observed.iter().sum::<u64>() as f64 / observed.len() as f64
-        };
+        let per_day = |total: u64| if day == 0 { 0.0 } else { total as f64 / day as f64 };
+        let mean = per_day(seen.reads_before);
         let denom = mean + 1.0;
 
         // Days before the first observation are backfilled with the
         // observed mean ("assume the file has always run at its average"),
         // NOT with zeros: zero-padding is indistinguishable from genuine
         // idleness and teaches the policy to archive busy files during the
-        // first week of deployment.
-        //
-        // Channel 0: absolute level, log-compressed. Chronological order:
-        // oldest first, yesterday last.
-        let mut w = 0;
-        for k in 0..self.window {
-            let offset = self.window - k;
-            let value = if day >= offset { reads[day - offset] as f64 } else { mean };
-            out[w] = (1.0 + value).ln() / 10.0;
-            w += 1;
-        }
-        // Channel 1: shape, normalized by the file's own observed mean.
-        for k in 0..self.window {
-            let offset = self.window - k;
-            let value = if day >= offset { reads[day - offset] as f64 } else { mean };
-            out[w] = (value / denom).min(HISTORY_CAP);
-            w += 1;
-        }
-
-        // Scalar extras.
-        let mean_writes = if observed.is_empty() {
-            0.0
-        } else {
-            writes[..day].iter().sum::<u64>() as f64 / day as f64
+        // first week of deployment. Oldest first, yesterday last.
+        let history = |k: usize| {
+            let at = (seen.recent.len() + k).checked_sub(self.window);
+            at.and_then(|i| seen.recent.get(i)).map_or(mean, |&r| r as f64)
         };
-        out[w] = (mean + 1.0).ln() / 10.0; // log-scale popularity
-        out[w + 1] = size_gb; // ~0.1 GB typical, already unit-scale
-        out[w + 2] = mean_writes / denom; // write/read ratio
-        w += 3;
-        for t in Tier::all() {
-            out[w] = if t == tier { 1.0 } else { 0.0 };
-            w += 1;
+        // Channel 0: absolute level, log-compressed.
+        let level = (0..self.window).map(|k| (1.0 + history(k)).ln() / 10.0);
+        // Channel 1: shape, normalized by the file's own observed mean.
+        let shape = (0..self.window).map(|k| (history(k) / denom).min(HISTORY_CAP));
+        // Scalar extras: log-scale popularity, size (~0.1 GB typical,
+        // already unit-scale), write/read ratio; then the tier one-hot.
+        let extras = [(mean + 1.0).ln() / 10.0, size_gb, per_day(seen.writes_before) / denom];
+        let onehot = Tier::all().map(|t| if t == tier { 1.0 } else { 0.0 });
+        let row = level.chain(shape).chain(extras).chain(onehot);
+        for (slot, value) in out.iter_mut().zip(row) {
+            *slot = value;
         }
-        debug_assert_eq!(w, self.state_dim());
+    }
+}
+
+/// All the encoder reads of one file on the morning of a day, so a rolling
+/// window plus prior totals encodes exactly like the full series.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Observed<'a> {
+    /// Up to `window` closed-day reads just before the day, oldest first;
+    /// older history slots read as the observed mean.
+    pub recent: &'a [u64],
+    /// Total reads over every day before the day.
+    /// xtask-unit: ops
+    pub reads_before: u64,
+    /// Total writes over every day before the day.
+    /// xtask-unit: ops
+    pub writes_before: u64,
+}
+
+impl<'a> Observed<'a> {
+    /// The observation of series from day 0 on the morning of `day`, with a
+    /// `window`-day history. Total: a later `day` sees the whole series.
+    #[must_use]
+    pub fn from_series(reads: &'a [u64], writes: &[u64], day: usize, window: usize) -> Self {
+        let closed = reads.get(..day).unwrap_or(reads);
+        Observed {
+            recent: closed.get(closed.len().saturating_sub(window)..).unwrap_or(&[]),
+            reads_before: closed.iter().sum(),
+            writes_before: writes.get(..day).unwrap_or(writes).iter().sum(),
+        }
     }
 }
 

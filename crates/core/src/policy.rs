@@ -68,16 +68,12 @@ impl<'a> DecisionContext<'a> {
         self.fleet.size_gb(self.global(slot))
     }
 
-    /// Full daily read series of batch entry `slot`.
+    /// Full read and write series of batch entry `slot`, from day 0 —
+    /// `None` on a serve window, which never holds them (see
+    /// [`FleetState::history`]).
     #[must_use]
-    pub fn reads(&self, slot: usize) -> &'a [u64] {
-        self.fleet.reads(self.global(slot))
-    }
-
-    /// Full daily write series of batch entry `slot`.
-    #[must_use]
-    pub fn writes(&self, slot: usize) -> &'a [u64] {
-        self.fleet.writes(self.global(slot))
+    pub fn history(&self, slot: usize) -> Option<(&'a [u64], &'a [u64])> {
+        self.fleet.history(self.global(slot))
     }
 
     /// Read/write pair of batch entry `slot` on the decided day.
@@ -147,25 +143,10 @@ pub trait Policy: Send {
         out
     }
 
-    /// Decides the whole columnar fleet in one batch (convenience for call
-    /// sites outside the sharded engine). `current` must hold one tier per
-    /// fleet file.
-    fn decide_full(
-        &mut self,
-        day: usize,
-        fleet: &FleetState,
-        model: &CostModel,
-        current: &[Tier],
-    ) -> Vec<Tier> {
-        assert_eq!(current.len(), fleet.len(), "one current tier per file");
-        let batch: Vec<usize> = (0..fleet.len()).collect();
-        let ctx = DecisionContext { day, fleet, model, batch: &batch, current };
-        self.decide_batch(&ctx)
-    }
-
-    /// [`Policy::decide_full`] from a row-major [`Trace`]: columnarizes the
-    /// trace first, so only suitable for one-shot calls (tests, examples) —
-    /// repeated callers should build the [`FleetState`] once themselves.
+    /// Decides every file of a row-major [`Trace`] in one batch.
+    /// Columnarizes the trace first, so only suitable for one-shot calls
+    /// (tests, examples) — repeated callers should build the
+    /// [`FleetState`] once themselves. `current` holds one tier per file.
     fn decide_fleet(
         &mut self,
         day: usize,
@@ -173,7 +154,10 @@ pub trait Policy: Send {
         model: &CostModel,
         current: &[Tier],
     ) -> Vec<Tier> {
-        self.decide_full(day, &FleetState::from_trace(trace), model, current)
+        assert_eq!(current.len(), trace.files.len(), "one current tier per file");
+        let fleet = FleetState::from_trace(trace);
+        let batch: Vec<usize> = (0..fleet.len()).collect();
+        self.decide_batch(&DecisionContext { day, fleet: &fleet, model, batch: &batch, current })
     }
 
     /// An independent copy for a parallel shard worker.
@@ -388,14 +372,12 @@ impl Policy for RlPolicy {
             // the current tier until the first observation arrives.
             return current;
         }
-        let state = self.features.encode_state(
-            ctx.reads(slot),
-            ctx.writes(slot),
-            ctx.size_gb(slot),
-            ctx.day,
-            current,
-        );
-        let logits = self.actor.forward(&nn::Matrix::row_vector(&state));
+        // A batch of one through the same hoisted block and forward buffers
+        // as the batched path.
+        let batch = [ctx.global(slot)];
+        let view = ctx.fleet.view(&batch, ctx.day);
+        self.features.encode_block(&view, &[current], &mut self.block);
+        let logits = self.actor.forward_into(self.block.matrix(), &mut self.scratch);
         // The actor emits one logit per tier, so argmax is always a valid
         // index; hold the current tier if the network is ever mis-sized.
         Tier::from_index(argmax(logits.row(0))).unwrap_or(current)

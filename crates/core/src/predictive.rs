@@ -24,6 +24,10 @@ use pricing::{Money, Tier, TIER_COUNT};
 /// Plans are keyed by **global** file index and built lazily per batch, so
 /// a file's plan is the same whether it is decided in the full fleet or in
 /// a shard — the sharding determinism contract of DESIGN.md §9.
+///
+/// Planning needs each file's full series ([`DecisionContext::history`]);
+/// on a fleet without it (serve's rolling window) the planner holds every
+/// file's current tier.
 pub struct PredictivePolicy<F: forecast::Forecaster> {
     forecaster: F,
     horizon: usize,
@@ -147,21 +151,16 @@ impl<F: forecast::Forecaster + Clone + Send + 'static> Policy for PredictivePoli
             self.plans.resize(global + 1, None);
         }
         if self.plans[global].is_none() {
-            let plan = if at == 0 {
-                // Nothing observed yet; hold (same rationale as RlPolicy's
-                // day-0 rule).
-                vec![cur; self.horizon]
-            } else {
+            let plan = match ctx.history(slot) {
                 // History is cut at the refit day, so a plan built lazily
                 // later in the window is identical to one built at refit.
-                self.plan_file(
-                    ctx.reads(slot),
-                    ctx.writes(slot),
-                    ctx.size_gb(slot),
-                    at,
-                    cur,
-                    ctx.model,
-                )
+                Some((reads, writes)) if at > 0 => {
+                    self.plan_file(reads, writes, ctx.size_gb(slot), at, cur, ctx.model)
+                }
+                // Nothing observed yet (same rationale as RlPolicy's day-0
+                // rule), or no full series to forecast from and plan to
+                // the horizon (a serve window): hold.
+                _ => vec![cur; self.horizon],
             };
             self.plans[global] = Some(plan);
         }
@@ -185,6 +184,7 @@ impl<F: forecast::Forecaster + Clone + Send + 'static> Policy for PredictivePoli
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fleet::FleetState;
     use crate::policy::{HotPolicy, OptimalPolicy};
     use crate::sim::{simulate, SimConfig};
     use forecast::{Naive, SeasonalNaive};
@@ -259,6 +259,36 @@ mod tests {
         let current = vec![Tier::Archive; trace.len()];
         let decision = policy.decide_fleet(0, &trace, &model, &current);
         assert!(decision.iter().all(|&t| t == Tier::Archive));
+    }
+
+    #[test]
+    fn holds_on_a_serve_window() {
+        // A serve window has no full series to forecast from or plan to
+        // the horizon with — not even before it rolls past day 0 — so the
+        // planner holds every file's current tier.
+        let (trace, model) = setup();
+        let batch: Vec<usize> = (0..trace.len()).collect();
+        let current = vec![Tier::Cool; trace.len()];
+        for day in [3usize, 7, 20] {
+            let mut window = FleetState::default();
+            window.roll(&trace, 7, day);
+            for (ix, file) in trace.files.iter().enumerate() {
+                let (reads, writes) = file.day(day);
+                window.add_day_counts(ix, day, reads, writes);
+            }
+            let ctx = DecisionContext {
+                day,
+                fleet: &window,
+                model: &model,
+                batch: &batch,
+                current: &current,
+            };
+            let mut policy = PredictivePolicy::new(Naive, 7);
+            assert_eq!(policy.decide_batch(&ctx), current, "day {day}");
+        }
+        // The same days on the full trace do plan (and move files).
+        let mut policy = PredictivePolicy::new(Naive, 7);
+        assert_ne!(policy.decide_fleet(7, &trace, &model, &current), current);
     }
 
     #[test]

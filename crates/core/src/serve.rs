@@ -20,26 +20,34 @@
 //!
 //! * the event stream conserves each file's daily totals exactly
 //!   (largest-remainder apportionment), so day-binned counts — and thus
-//!   billing — are exact;
-//! * the feature encoder reads only the last `window` days positionally
-//!   plus prefix *sums* (for its normalizing means); the online stats keep
-//!   exactly those, so the synthetic per-file series rebuilt at decision
-//!   time encodes to bit-identical `f64` features;
-//! * the greedy baseline reads the decided day's true counts, which the
-//!   loop holds as the exact open-day pending counters;
+//!   billing, done by the batch engine's own [`crate::engine::bill_day`]
+//!   sweep — are exact;
+//! * the feature encoder reads only the last `window` closed days
+//!   positionally plus prefix *sums* (for its normalizing means). The loop
+//!   keeps one rolling [`FleetState`] of `window + 1` columns — the last
+//!   `window` closed days, refreshed in place each day from the online
+//!   statistics, plus the open day, filled straight from the events — and
+//!   carries each file's totals from before the window as prior sums
+//!   (zero while `day <= window`, `lifetime - ring_sum` after). Prior plus
+//!   columns equal the full series' prefix sums, so the features are
+//!   bit-identical `f64`s;
+//! * the greedy baseline reads the decided day's true counts: the window's
+//!   open-day column;
 //! * checkpoints cut only at day boundaries, and event expansion is seeded
 //!   statelessly per `(file, day)`, so the resumed stream is the exact
 //!   suffix of the uninterrupted one.
 //!
 //! In bounded mode (`max_tracked = Some(k)`) only *decision features*
 //! degrade to sketch estimates for untracked files — billing stays exact
-//! because the loop owns the dense open-day counters either way.
+//! because the open-day column is filled from the events themselves either
+//! way.
 
+use crate::engine::bill_day;
 use crate::fleet::FleetState;
-use crate::policy::Policy;
+use crate::policy::{DecisionContext, Policy};
 use crate::sim::SimResult;
 use crate::supervise::{IncidentKind, IncidentLog, SuperviseConfig, Supervisor};
-use pricing::{CostBreakdown, CostLedger, CostModel, FileDay, Money, Tier, TIER_COUNT};
+use pricing::{CostLedger, CostModel, Money, Tier, TIER_COUNT};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -230,7 +238,8 @@ pub struct StoreReport {
     pub io: [TierIo; TIER_COUNT],
 }
 
-/// Mutable serving state; mirrors [`Snapshot`] field-for-field.
+/// Mutable serving state; mirrors [`Snapshot`], with the statistics as one
+/// enum.
 struct ServeState {
     next_day: usize,
     epoch: u64,
@@ -241,24 +250,70 @@ struct ServeState {
     tier_changes: u64,
     billed_change_bytes: u64,
     decision_millis: Vec<f64>,
-    exact: Option<ExactStats>,
-    bounded: Option<BoundedStats>,
+    stats: Stats,
+}
+
+/// The online statistics serve decides from, in the mode the run asked
+/// for.
+enum Stats {
+    /// Exact per-file windows and sums (`max_tracked = None`).
+    Exact(ExactStats),
+    /// Exact windows for the heavy hitters, sketches for the tail.
+    Bounded(Box<BoundedStats>),
+}
+
+impl Stats {
+    /// Serve's ingest phase for `day`: rolls `fleet` to the day
+    /// ([`FleetState::roll`]) over the `window` closed days the statistics
+    /// keep (at least one), drains `events` into the statistics and the
+    /// fleet's open-day column, then writes every file's recent days and
+    /// lifetime totals from the statistics ([`FleetState::set_history`]).
+    fn ingest_day(
+        &mut self,
+        fleet: &mut FleetState,
+        catalog: &Trace,
+        window: usize,
+        day: usize,
+        events: &[Event],
+    ) {
+        fleet.roll(catalog, window.max(1), day);
+        for event in events {
+            match self {
+                Stats::Exact(s) => s.ingest(event),
+                Stats::Bounded(s) => s.ingest(event),
+            }
+            fleet.add_day_counts(event.file.index(), day, event.reads, event.writes);
+        }
+        match self {
+            Stats::Exact(exact) => {
+                for ix in 0..catalog.files.len() {
+                    let Some(s) = exact.file(ix) else { continue };
+                    let lifetime = (s.sum_reads(), s.sum_writes());
+                    fleet.set_history(ix, day, s.recent_reads(), s.recent_writes(), lifetime);
+                }
+            }
+            Stats::Bounded(bounded) => {
+                for (ix, file) in catalog.files.iter().enumerate() {
+                    let id = file.id.0;
+                    let (reads, writes) = (bounded.window_reads(id), bounded.window_writes(id));
+                    fleet.set_history(ix, day, &reads, &writes, bounded.lifetime(id));
+                }
+            }
+        }
+    }
 }
 
 impl ServeState {
     fn fresh(cfg: &ServeConfig, fleet: usize) -> ServeState {
-        let (exact, bounded) = match cfg.max_tracked {
-            None => (Some(ExactStats::new(cfg.window, fleet)), None),
-            Some(k) => (
-                None,
-                Some(BoundedStats::new(BoundedConfig {
-                    max_tracked: k,
-                    cms_width: 2048,
-                    cms_depth: 4,
-                    window: cfg.window,
-                    seed: cfg.seed,
-                })),
-            ),
+        let stats = match cfg.max_tracked {
+            None => Stats::Exact(ExactStats::new(cfg.window, fleet)),
+            Some(k) => Stats::Bounded(Box::new(BoundedStats::new(BoundedConfig {
+                max_tracked: k,
+                cms_width: 2048,
+                cms_depth: 4,
+                window: cfg.window,
+                seed: cfg.seed,
+            }))),
         };
         ServeState {
             next_day: 0,
@@ -270,39 +325,15 @@ impl ServeState {
             tier_changes: 0,
             billed_change_bytes: 0,
             decision_millis: Vec::new(),
-            exact: None,
-            bounded: None,
-        }
-        .with_stats(exact, bounded)
-    }
-
-    fn with_stats(
-        mut self,
-        exact: Option<ExactStats>,
-        bounded: Option<BoundedStats>,
-    ) -> ServeState {
-        self.exact = exact;
-        self.bounded = bounded;
-        self
-    }
-
-    fn from_snapshot(snap: Snapshot) -> ServeState {
-        ServeState {
-            next_day: snap.next_day,
-            epoch: snap.epoch,
-            tiers: snap.tiers,
-            ledger: snap.ledger,
-            per_file: snap.per_file,
-            occupancy: snap.occupancy,
-            tier_changes: snap.tier_changes,
-            billed_change_bytes: snap.billed_change_bytes,
-            decision_millis: snap.decision_millis,
-            exact: snap.exact,
-            bounded: snap.bounded,
+            stats,
         }
     }
 
     fn to_snapshot(&self, cfg: &ServeConfig, policy_name: &str) -> Snapshot {
+        let (exact, bounded) = match &self.stats {
+            Stats::Exact(s) => (Some(s.clone()), None),
+            Stats::Bounded(s) => (None, Some(BoundedStats::clone(s))),
+        };
         Snapshot {
             version: SNAPSHOT_VERSION,
             policy_name: policy_name.to_owned(),
@@ -319,19 +350,20 @@ impl ServeState {
             tier_changes: self.tier_changes,
             billed_change_bytes: self.billed_change_bytes,
             decision_millis: self.decision_millis.clone(),
-            exact: self.exact.clone(),
-            bounded: self.bounded.clone(),
+            exact,
+            bounded,
         }
     }
 }
 
-/// Validates a restored snapshot against this run's configuration.
+/// Validates a restored snapshot against this run's configuration and
+/// takes it over as serving state.
 fn check_snapshot(
-    snap: &Snapshot,
+    snap: Snapshot,
     cfg: &ServeConfig,
     policy_name: &str,
     fleet: usize,
-) -> Result<(), ServeError> {
+) -> Result<ServeState, ServeError> {
     let mismatch = |what: &str| Err(ServeError::SnapshotMismatch(what.to_owned()));
     if snap.policy_name != policy_name {
         return mismatch(&format!("policy {} vs {}", snap.policy_name, policy_name));
@@ -351,120 +383,24 @@ fn check_snapshot(
     if snap.tiers.len() != fleet {
         return mismatch(&format!("fleet size {} vs {}", snap.tiers.len(), fleet));
     }
-    match cfg.max_tracked {
-        None if snap.exact.is_none() => mismatch("snapshot lacks exact statistics"),
-        Some(_) if snap.bounded.is_none() => mismatch("snapshot lacks bounded statistics"),
-        _ => Ok(()),
-    }
-}
-
-/// Spreads `total` over `m` filler slots so they sum exactly to `total`.
-/// Individual values are never read by any shipped policy (the encoder
-/// touches only the last `window` slots positionally and the prefix sum);
-/// only the exact total matters.
-fn push_filler(out: &mut Vec<u64>, total: u64, m: usize) {
-    if m == 0 {
-        return;
-    }
-    let m64 = m as u64;
-    let base = total / m64;
-    // xtask-allow(panic-reachability): m == 0 returned early above, so m64 >= 1
-    let rem = (total % m64) as usize;
-    for i in 0..m {
-        out.push(base + u64::from(i < rem));
-    }
-}
-
-/// One file's online statistics as the series synthesizer consumes them.
-struct SeriesStats<'a> {
-    /// Recent closed-day reads, oldest first.
-    ring_reads: &'a [u64],
-    /// Recent closed-day writes, oldest first.
-    ring_writes: &'a [u64],
-    /// Lifetime closed-day read total.
-    sum_reads: u64,
-    /// Lifetime closed-day write total.
-    sum_writes: u64,
-    /// Open-day (read, write) counts.
-    pending: (u64, u64),
-}
-
-/// Appends one file's `day + 1`-entry daily series to the flat columnar
-/// buffers: filler conserving the exact prefix sums, then the recent window
-/// verbatim, then the open day's pending counts at index `day`. The
-/// synthesis kernel behind [`synthesize_fleet`].
-fn push_series(reads: &mut Vec<u64>, writes: &mut Vec<u64>, day: usize, s: &SeriesStats<'_>) {
-    let keep = s.ring_reads.len().min(day);
-    let ring_reads = &s.ring_reads[s.ring_reads.len() - keep..];
-    let ring_writes = &s.ring_writes[s.ring_writes.len() - keep..];
-    let filler = day - keep;
-    let ring_sum_r: u64 = ring_reads.iter().sum();
-    let ring_sum_w: u64 = ring_writes.iter().sum();
-    push_filler(reads, s.sum_reads.saturating_sub(ring_sum_r), filler);
-    push_filler(writes, s.sum_writes.saturating_sub(ring_sum_w), filler);
-    reads.extend_from_slice(ring_reads);
-    writes.extend_from_slice(ring_writes);
-    reads.push(s.pending.0);
-    writes.push(s.pending.1);
-}
-
-/// Rebuilds the fleet-wide synthetic columnar state the policy decides on
-/// for `day`: every file's `day + 1`-entry series appended straight into
-/// the flat [`FleetState`] columns — no intermediate per-file `Vec`s, no
-/// `Trace` detour.
-fn synthesize_fleet(
-    catalog: &Trace,
-    state: &ServeState,
-    pending_reads: &[u64],
-    pending_writes: &[u64],
-    day: usize,
-) -> FleetState {
-    let n = catalog.files.len();
-    let mut ids = Vec::with_capacity(n);
-    let mut sizes = Vec::with_capacity(n);
-    let mut reads = Vec::with_capacity(n * (day + 1));
-    let mut writes = Vec::with_capacity(n * (day + 1));
-    for (ix, file) in catalog.files.iter().enumerate() {
-        ids.push(file.id);
-        sizes.push(file.size_gb);
-        let pending = (pending_reads[ix], pending_writes[ix]);
-        if let Some(exact) = &state.exact {
-            let empty = stream::FileStats::new();
-            let s = exact.file(ix).unwrap_or(&empty);
-            let stats = SeriesStats {
-                ring_reads: s.recent_reads(),
-                ring_writes: s.recent_writes(),
-                sum_reads: s.sum_reads(),
-                sum_writes: s.sum_writes(),
-                pending,
-            };
-            push_series(&mut reads, &mut writes, day, &stats);
-        } else if let Some(bounded) = &state.bounded {
-            let (sum_reads, sum_writes) = bounded.lifetime(file.id.0);
-            let ring_reads = bounded.window_reads(file.id.0);
-            let ring_writes = bounded.window_writes(file.id.0);
-            let stats = SeriesStats {
-                ring_reads: &ring_reads,
-                ring_writes: &ring_writes,
-                sum_reads,
-                sum_writes,
-                pending,
-            };
-            push_series(&mut reads, &mut writes, day, &stats);
-        } else {
-            // Unreachable by construction (one mode is always present);
-            // degrade to an all-zero history rather than panic.
-            let stats = SeriesStats {
-                ring_reads: &[],
-                ring_writes: &[],
-                sum_reads: 0,
-                sum_writes: 0,
-                pending,
-            };
-            push_series(&mut reads, &mut writes, day, &stats);
-        }
-    }
-    FleetState::from_columns(day + 1, ids, sizes, reads, writes)
+    let stats = match (cfg.max_tracked, snap.exact, snap.bounded) {
+        (None, Some(exact), _) => Stats::Exact(exact),
+        (Some(_), _, Some(bounded)) => Stats::Bounded(Box::new(bounded)),
+        (None, None, _) => return mismatch("snapshot lacks exact statistics"),
+        (Some(_), _, None) => return mismatch("snapshot lacks bounded statistics"),
+    };
+    Ok(ServeState {
+        next_day: snap.next_day,
+        epoch: snap.epoch,
+        tiers: snap.tiers,
+        ledger: snap.ledger,
+        per_file: snap.per_file,
+        occupancy: snap.occupancy,
+        tier_changes: snap.tier_changes,
+        billed_change_bytes: snap.billed_change_bytes,
+        decision_millis: snap.decision_millis,
+        stats,
+    })
 }
 
 /// Restores serving state from the newest usable rotation candidate.
@@ -486,7 +422,7 @@ fn restore(
     cfg: &ServeConfig,
     policy_name: &str,
     fleet: usize,
-) -> Result<Option<Snapshot>, ServeError> {
+) -> Result<Option<ServeState>, ServeError> {
     let candidates = rotation_candidates(path, cfg.checkpoint_keep);
     let mut newest_failure: Option<ServeError> = None;
     let mut tried = 0usize;
@@ -499,16 +435,16 @@ fn restore(
             Snapshot::load_with(backend, cand)
         });
         match loaded {
-            Ok(snap) => match check_snapshot(&snap, cfg, policy_name, fleet) {
-                Ok(()) => {
+            Ok(snap) => match check_snapshot(snap, cfg, policy_name, fleet) {
+                Ok(state) => {
                     if slot > 0 {
                         sup.record(
-                            snap.next_day,
+                            state.next_day,
                             IncidentKind::RolledBack,
                             format!("restored rotation slot {slot} ({})", cand.display()),
                         );
                     }
-                    return Ok(Some(snap));
+                    return Ok(Some(state));
                 }
                 Err(e) => {
                     sup.record(0, IncidentKind::CheckpointMismatch, format!("slot {slot}: {e}"));
@@ -829,9 +765,9 @@ pub(crate) fn run_supervised(
     let mut resumed_from_day = None;
     let mut state = match &cfg.checkpoint_path {
         Some(path) => match restore(sup, backend.as_mut(), path, cfg, policy.name(), fleet)? {
-            Some(snap) => {
-                resumed_from_day = Some(snap.next_day);
-                ServeState::from_snapshot(snap)
+            Some(state) => {
+                resumed_from_day = Some(state.next_day);
+                state
             }
             None => ServeState::fresh(cfg, fleet),
         },
@@ -852,96 +788,71 @@ pub(crate) fn run_supervised(
         None => Box::new(clean),
     };
     let mut lookahead: Option<DayBatch> = None;
-    let mut pending_reads = vec![0u64; fleet];
-    let mut pending_writes = vec![0u64; fleet];
     let mut checkpoints_written = 0u64;
+    // Decision-loop buffers, hoisted: the whole fleet as one batch, the
+    // decision, and the rolling window the policy decides and billing
+    // runs on.
+    let batch: Vec<usize> = (0..fleet).collect();
+    let mut decision = Vec::with_capacity(fleet);
+    let mut rolling = FleetState::default();
 
     for day in state.next_day..end {
         sup.tick();
         // Ingest phase: acquire this day's canonical events (recovering
         // any delivery anomaly) and drain them into the online statistics
-        // and the exact open-day counters billing runs on.
+        // and the window's exact open-day column billing runs on; then
+        // refresh the window's closed days from the statistics.
         let events = acquire_day(sup, source.as_mut(), &mut lookahead, day)?;
-        pending_reads.iter_mut().for_each(|c| *c = 0);
-        pending_writes.iter_mut().for_each(|c| *c = 0);
-        for event in &events {
-            if let Some(exact) = &mut state.exact {
-                exact.ingest(event);
-            }
-            if let Some(bounded) = &mut state.bounded {
-                bounded.ingest(event);
-            }
-            if let Some(slot) = pending_reads.get_mut(event.file.index()) {
-                *slot = slot.saturating_add(event.reads);
-            }
-            if let Some(slot) = pending_writes.get_mut(event.file.index()) {
-                *slot = slot.saturating_add(event.writes);
-            }
-        }
+        state.stats.ingest_day(&mut rolling, trace, cfg.window, day, &events);
 
         // Decision phase, at the batch engine's cadence, on features
         // assembled purely from online statistics. The supervisor retries
         // injected policy-step failures and degrades past the budget.
-        let mut decided = if day % cfg.decide_every == 0 {
-            let synthetic = synthesize_fleet(trace, &state, &pending_reads, &pending_writes, day);
-            let start = Instant::now();
-            let decision = sup.decide(policy, day, &synthetic, model, &state.tiers)?;
-            state.decision_millis.push(start.elapsed().as_secs_f64() * 1e3);
-            Some(decision)
-        } else {
-            None
-        };
-
-        // Migration phase: physically apply the decision's tier changes
-        // through the pipeline before billing, so exhausted jobs can pin
-        // their file (and its bill) to the source tier, and an injected
-        // crash aborts before the day is billed.
-        if let (Some(rt), Some(decision)) = (store_rt.as_mut(), decided.as_mut()) {
-            run_migrations(sup, rt, trace, day, decision, &state.tiers)?;
-        }
-
-        // Billing phase: identical ordering and arithmetic to
-        // `engine::run_shard`, fed by the exact open-day counters.
-        let mut breakdown = CostBreakdown::default();
-        for ix in 0..fleet {
-            let target = decided.as_ref().map_or(state.tiers[ix], |d| d[ix]);
-            let changed_from = if target != state.tiers[ix] {
-                state.tier_changes += 1;
-                state.billed_change_bytes = state
-                    .billed_change_bytes
-                    .saturating_add(logical_bytes(trace.files[ix].size_gb));
-                Some(state.tiers[ix])
-            } else {
-                None
+        let decides = day % cfg.decide_every == 0;
+        if decides {
+            let ctx = DecisionContext {
+                day,
+                fleet: &rolling,
+                model,
+                batch: &batch,
+                current: &state.tiers,
             };
-            let day_bill = model.day_breakdown(&FileDay {
-                size_gb: trace.files[ix].size_gb,
-                reads: pending_reads[ix],
-                writes: pending_writes[ix],
-                tier: target,
-                changed_from,
-            });
-            state.per_file[ix] += day_bill.total();
-            breakdown += day_bill;
-            state.tiers[ix] = target;
-        }
-        state.ledger.accrue(breakdown);
-        let mut counts = [0usize; TIER_COUNT];
-        for &tier in &state.tiers {
-            counts[tier.index()] += 1;
-        }
-        state.occupancy.push(counts);
+            let start = Instant::now();
+            sup.decide(policy, &ctx, &mut decision)?;
+            state.decision_millis.push(start.elapsed().as_secs_f64() * 1e3);
 
-        // Close the day everywhere; the next event belongs to `day + 1`.
-        if let Some(exact) = &mut state.exact {
-            exact.close_day();
+            // Migration phase: physically apply the decision's tier changes
+            // through the pipeline before billing, so exhausted jobs can pin
+            // their file (and its bill) to the source tier, and an injected
+            // crash aborts before the day is billed.
+            if let Some(rt) = store_rt.as_mut() {
+                run_migrations(sup, rt, trace, day, &mut decision, &state.tiers)?;
+            }
+            for ((file, from), to) in trace.files.iter().zip(&state.tiers).zip(&decision) {
+                if from != to {
+                    state.billed_change_bytes =
+                        state.billed_change_bytes.saturating_add(logical_bytes(file.size_gb));
+                }
+            }
         }
-        if let Some(bounded) = &mut state.bounded {
-            bounded.close_day();
+
+        // Billing phase: the batch engine's own sweep, on the exact
+        // open-day counts.
+        let decided = decides.then_some(decision.as_slice());
+        let bill =
+            bill_day(&rolling, model, day, &batch, decided, &mut state.tiers, &mut state.per_file);
+        state.tier_changes += bill.tier_changes;
+        state.ledger.accrue(bill.breakdown);
+        state.occupancy.push(bill.occupancy);
+
+        // Close the day; the next event belongs to `day + 1`.
+        match &mut state.stats {
+            Stats::Exact(s) => s.close_day(),
+            Stats::Bounded(s) => s.close_day(),
         }
         state.next_day = day + 1;
 
-        if decided.is_some() {
+        if decides {
             state.epoch += 1;
             if cfg.checkpoint_every > 0 && state.epoch % cfg.checkpoint_every == 0 {
                 if let Some(path) = &cfg.checkpoint_path {
@@ -1097,42 +1008,69 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn push_series_conserves_prefix_sums_and_length() {
-        // The columnar kernel must emit exactly `day + 1` entries whose
-        // filler conserves the lifetime sums, for short, window-sized, and
-        // filler-heavy days.
-        let stats = SeriesStats {
-            ring_reads: &[3, 4, 5],
-            ring_writes: &[1, 0, 2],
-            sum_reads: 40,
-            sum_writes: 9,
-            pending: (7, 1),
-        };
-        for day in [0usize, 2, 3, 9] {
-            let mut reads = Vec::new();
-            let mut writes = Vec::new();
-            push_series(&mut reads, &mut writes, day, &stats);
-            assert_eq!(reads.len(), day + 1, "day {day}");
-            assert_eq!(writes.len(), day + 1, "day {day}");
-            // Once filler slots exist, filler + ring conserve the exact
-            // lifetime prefix sums.
-            if day > stats.ring_reads.len() {
-                assert_eq!(reads[..day].iter().sum::<u64>(), stats.sum_reads, "day {day}");
-                assert_eq!(writes[..day].iter().sum::<u64>(), stats.sum_writes, "day {day}");
-            }
-            assert_eq!(reads[day], stats.pending.0, "day {day}");
-            assert_eq!(writes[day], stats.pending.1, "day {day}");
-        }
-    }
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(40))]
 
-    #[test]
-    fn filler_spread_conserves_totals() {
-        for (total, m) in [(0u64, 0usize), (0, 3), (10, 3), (7, 7), (5, 9), (1_000_003, 11)] {
-            let mut out = Vec::new();
-            push_filler(&mut out, total, m);
-            assert_eq!(out.len(), m);
-            assert_eq!(out.iter().sum::<u64>(), total, "total={total} m={m}");
+        /// Serve's rolling window — rolled, fed the stream's events and
+        /// refreshed from exact statistics exactly as the serve loop does —
+        /// encodes every file on every morning bit-for-bit like the full
+        /// series, for windows shorter than, equal to and longer than the
+        /// horizon.
+        #[test]
+        fn rolling_window_encodes_like_the_full_series(
+            counts in proptest::collection::vec(0u64..5_000, 3..60),
+            files in 1usize..4,
+            seed in 0u64..1_000,
+        ) {
+            use crate::features::FeatureConfig;
+            use crate::fleet::FeatureBlock;
+            use tracegen::{FileId, FileSeries};
+
+            let days = counts.len() / files;
+            let catalog = Trace {
+                days,
+                files: (0..files)
+                    .map(|k| {
+                        let reads = counts[k * days..(k + 1) * days].to_vec();
+                        let writes = reads.iter().rev().map(|r| r / 3).collect();
+                        FileSeries { id: FileId(k as u32), size_gb: 0.1 * (k + 1) as f64, reads, writes }
+                    })
+                    .collect(),
+            };
+            let batch: Vec<usize> = (0..files).collect();
+            for window in [1usize, 3, 7] {
+                let features = FeatureConfig { window };
+                let mut stats = Stats::Exact(ExactStats::new(window, files));
+                let mut source = TraceSource::new(&catalog, DiurnalProfile::web_default(), seed, 0);
+                let mut fleet = FleetState::default();
+                let mut block = FeatureBlock::new();
+                for day in 0..=days {
+                    let events = if day < days {
+                        source.next_batch().expect("one batch per day").events
+                    } else {
+                        Vec::new()
+                    };
+                    stats.ingest_day(&mut fleet, &catalog, window, day, &events);
+                    for tier in Tier::all() {
+                        let current = vec![tier; files];
+                        features.encode_block(&fleet.view(&batch, day), &current, &mut block);
+                        for (ix, file) in catalog.files.iter().enumerate() {
+                            let expect: Vec<u64> =
+                                features.encode(file, day, tier).iter().map(|v| v.to_bits()).collect();
+                            let got: Vec<u64> =
+                                block.matrix().row(ix).iter().map(|v| v.to_bits()).collect();
+                            proptest::prop_assert_eq!(got, expect, "window {} day {} file {}", window, day, ix);
+                        }
+                    }
+                    if day < days {
+                        let (reads, writes) = catalog.files[0].day(day);
+                        proptest::prop_assert_eq!(fleet.day_counts(0, day), (reads, writes));
+                    }
+                    if let Stats::Exact(s) = &mut stats {
+                        s.close_day();
+                    }
+                }
+            }
         }
     }
 }

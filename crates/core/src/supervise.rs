@@ -20,12 +20,11 @@
 //! injected failure spends budget. The default allowance (8) exceeds the
 //! standard chaos plan's budget (6) for exactly this reason.
 
-use crate::fleet::FleetState;
-use crate::policy::{ColdPolicy, GreedyPolicy, HotPolicy, Policy};
+use crate::policy::{ColdPolicy, DecisionContext, GreedyPolicy, HotPolicy, Policy};
 use crate::serve::{ServeConfig, ServeError, ServeReport};
 use pricing::{CostModel, Tier};
 use std::fmt;
-use stream::{FaultPlan, FaultSite, SharedInjector, SnapshotError};
+use stream::{backoff_ms, FaultPlan, FaultSite, SharedInjector, SnapshotError};
 use tracegen::Trace;
 
 /// The fallback policy the supervisor pins decisions to when the primary
@@ -335,19 +334,6 @@ impl Supervisor {
         self.injector.clone()
     }
 
-    /// The backoff delay before retry number `attempt` (0-based):
-    /// `base · 2^attempt`, saturating, capped at `backoff_cap_ms`.
-    #[must_use]
-    pub fn backoff_ms(&self, attempt: u32) -> u64 {
-        let factor = 1u64.checked_shl(attempt).unwrap_or(u64::MAX);
-        self.cfg.backoff_base_ms.saturating_mul(factor).min(self.cfg.backoff_cap_ms)
-    }
-
-    /// Advances the virtual clock by the backoff delay for `attempt`.
-    fn sleep(&mut self, attempt: u32) {
-        self.now_ms = self.now_ms.saturating_add(self.backoff_ms(attempt));
-    }
-
     /// Advances the virtual clock by one tick (called once per served day
     /// so incident timestamps are monotone across days).
     pub(crate) fn tick(&mut self) {
@@ -399,9 +385,10 @@ impl Supervisor {
             match op() {
                 Ok(value) => return Ok(value),
                 Err(e) if e.is_transient() && attempt < self.cfg.max_retries => {
-                    let delay = self.backoff_ms(attempt);
+                    let delay =
+                        backoff_ms(self.cfg.backoff_base_ms, self.cfg.backoff_cap_ms, attempt);
                     self.record(day, kind, format!("{what}: {e}; retry {attempt} after {delay}ms"));
-                    self.sleep(attempt);
+                    self.now_ms = self.now_ms.saturating_add(delay);
                     attempt += 1;
                 }
                 Err(e) if e.is_transient() => {
@@ -416,18 +403,16 @@ impl Supervisor {
         }
     }
 
-    /// One supervised policy decision: consults the injector's
+    /// One supervised policy decision into `out`: consults the injector's
     /// `PolicyStep` site before each attempt, retries with backoff on
     /// injected failures, and past the retry budget either pins the epoch
     /// to the degraded fallback policy or aborts.
     pub(crate) fn decide(
         &mut self,
         policy: &mut dyn Policy,
-        day: usize,
-        fleet: &FleetState,
-        model: &CostModel,
-        current: &[Tier],
-    ) -> Result<Vec<Tier>, ServeError> {
+        ctx: &DecisionContext<'_>,
+        out: &mut Vec<Tier>,
+    ) -> Result<(), ServeError> {
         let mut attempt = 0u32;
         loop {
             let fired = match &self.injector {
@@ -435,16 +420,17 @@ impl Supervisor {
                 None => false,
             };
             if !fired {
-                return Ok(policy.decide_full(day, fleet, model, current));
+                policy.decide_batch_into(ctx, out);
+                return Ok(());
             }
             if attempt < self.cfg.max_retries {
-                let delay = self.backoff_ms(attempt);
+                let delay = backoff_ms(self.cfg.backoff_base_ms, self.cfg.backoff_cap_ms, attempt);
                 self.record(
-                    day,
+                    ctx.day,
                     IncidentKind::PolicyRetried,
                     format!("injected policy failure; retry {attempt} after {delay}ms"),
                 );
-                self.sleep(attempt);
+                self.now_ms = self.now_ms.saturating_add(delay);
                 attempt += 1;
                 continue;
             }
@@ -455,13 +441,13 @@ impl Supervisor {
                 Some(mut fb) => {
                     self.degraded_epochs += 1;
                     self.record(
-                        day,
+                        ctx.day,
                         IncidentKind::Degraded,
                         format!("epoch pinned to fallback policy {:?}", fb.name()),
                     );
-                    let decision = fb.decide_full(day, fleet, model, current);
+                    fb.decide_batch_into(ctx, out);
                     self.fallback = Some(fb);
-                    Ok(decision)
+                    Ok(())
                 }
                 None => Err(ServeError::RetriesExhausted {
                     what: "policy step".to_owned(),
@@ -489,13 +475,14 @@ mod tests {
 
     #[test]
     fn backoff_schedule_doubles_and_caps() {
-        let sup = Supervisor::new(SuperviseConfig::default());
-        assert_eq!(sup.backoff_ms(0), 10);
-        assert_eq!(sup.backoff_ms(1), 20);
-        assert_eq!(sup.backoff_ms(2), 40);
-        assert_eq!(sup.backoff_ms(8), 2_560);
-        assert_eq!(sup.backoff_ms(9), 5_000, "delay must cap");
-        assert_eq!(sup.backoff_ms(200), 5_000, "huge attempts must not overflow");
+        let cfg = SuperviseConfig::default();
+        let backoff = |attempt| backoff_ms(cfg.backoff_base_ms, cfg.backoff_cap_ms, attempt);
+        assert_eq!(backoff(0), 10);
+        assert_eq!(backoff(1), 20);
+        assert_eq!(backoff(2), 40);
+        assert_eq!(backoff(8), 2_560);
+        assert_eq!(backoff(9), 5_000, "delay must cap");
+        assert_eq!(backoff(200), 5_000, "huge attempts must not overflow");
     }
 
     #[test]

@@ -24,7 +24,7 @@
 use crate::journal::{JobId, JobPhase, Journal};
 use crate::pool::StoragePool;
 use crate::StoreError;
-use stream::FaultSite;
+use stream::{backoff_ms, FaultSite};
 
 /// Tuning for the migration pipeline (CLI: `--migrate-bw`,
 /// `--migrate-inflight`; the retry/backoff family mirrors the
@@ -150,14 +150,6 @@ impl Migrator {
         &self.cfg
     }
 
-    /// Deterministic exponential backoff before retry `attempt` (0-based):
-    /// `base * 2^attempt`, saturating, capped (the supervisor's curve).
-    #[must_use]
-    pub fn backoff_ms(&self, attempt: u32) -> u64 {
-        let factor = 1u64.checked_shl(attempt).unwrap_or(u64::MAX);
-        self.cfg.backoff_base_ms.saturating_mul(factor).min(self.cfg.backoff_cap_ms)
-    }
-
     /// Drains one decision batch. Jobs run in the given order; lanes are
     /// filled greedily (least-loaded lane, ties to the lowest index), so
     /// the whole schedule is a pure function of the job list, the pool
@@ -218,7 +210,8 @@ impl Migrator {
                         if attempt >= self.cfg.retry_budget {
                             break false;
                         }
-                        let pause = self.backoff_ms(attempt);
+                        let pause =
+                            backoff_ms(self.cfg.backoff_base_ms, self.cfg.backoff_cap_ms, attempt);
                         clock = clock.saturating_add(pause);
                         out.events.push(MigrationEvent {
                             at_ms: clock,

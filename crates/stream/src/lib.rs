@@ -73,6 +73,16 @@ pub fn mix64(mut x: u64) -> u64 {
     x
 }
 
+/// The deterministic retry backoff shared by the serve supervisor and the
+/// store's migrator: the delay before retry `attempt` (0-based) is
+/// `base_ms · 2^attempt`, saturating, capped at `cap_ms`. Delays are
+/// virtual milliseconds, so replays of one fault plan agree bit for bit.
+#[must_use]
+pub fn backoff_ms(base_ms: u64, cap_ms: u64, attempt: u32) -> u64 {
+    let factor = 1u64.checked_shl(attempt).unwrap_or(u64::MAX);
+    base_ms.saturating_mul(factor).min(cap_ms)
+}
+
 #[cfg(test)]
 mod tests {
     use super::mix64;
