@@ -268,6 +268,8 @@ impl Stats {
     /// keep (at least one), drains `events` into the statistics and the
     /// fleet's open-day column, then writes every file's recent days and
     /// lifetime totals from the statistics ([`FleetState::set_history`]).
+    /// Bounded statistics stage each file's window in `scratch`, which the
+    /// caller keeps across days.
     fn ingest_day(
         &mut self,
         fleet: &mut FleetState,
@@ -275,6 +277,7 @@ impl Stats {
         window: usize,
         day: usize,
         events: &[Event],
+        scratch: &mut (Vec<u64>, Vec<u64>),
     ) {
         fleet.roll(catalog, window.max(1), day);
         for event in events {
@@ -293,10 +296,10 @@ impl Stats {
                 }
             }
             Stats::Bounded(bounded) => {
+                let (reads, writes) = scratch;
                 for (ix, file) in catalog.files.iter().enumerate() {
-                    let id = file.id.0;
-                    let (reads, writes) = (bounded.window_reads(id), bounded.window_writes(id));
-                    fleet.set_history(ix, day, &reads, &writes, bounded.lifetime(id));
+                    let lifetime = bounded.history_into(file.id.0, reads, writes);
+                    fleet.set_history(ix, day, reads, writes, lifetime);
                 }
             }
         }
@@ -790,11 +793,12 @@ pub(crate) fn run_supervised(
     let mut lookahead: Option<DayBatch> = None;
     let mut checkpoints_written = 0u64;
     // Decision-loop buffers, hoisted: the whole fleet as one batch, the
-    // decision, and the rolling window the policy decides and billing
-    // runs on.
+    // decision, the rolling window the policy decides and billing runs
+    // on, and one file's window as bounded statistics answer it.
     let batch: Vec<usize> = (0..fleet).collect();
     let mut decision = Vec::with_capacity(fleet);
     let mut rolling = FleetState::default();
+    let mut window_scratch = (Vec::with_capacity(cfg.window), Vec::with_capacity(cfg.window));
 
     for day in state.next_day..end {
         sup.tick();
@@ -803,7 +807,7 @@ pub(crate) fn run_supervised(
         // and the window's exact open-day column billing runs on; then
         // refresh the window's closed days from the statistics.
         let events = acquire_day(sup, source.as_mut(), &mut lookahead, day)?;
-        state.stats.ingest_day(&mut rolling, trace, cfg.window, day, &events);
+        state.stats.ingest_day(&mut rolling, trace, cfg.window, day, &events, &mut window_scratch);
 
         // Decision phase, at the batch engine's cadence, on features
         // assembled purely from online statistics. The supervisor retries
@@ -1044,13 +1048,14 @@ mod tests {
                 let mut source = TraceSource::new(&catalog, DiurnalProfile::web_default(), seed, 0);
                 let mut fleet = FleetState::default();
                 let mut block = FeatureBlock::new();
+                let mut scratch = (Vec::new(), Vec::new());
                 for day in 0..=days {
                     let events = if day < days {
                         source.next_batch().expect("one batch per day").events
                     } else {
                         Vec::new()
                     };
-                    stats.ingest_day(&mut fleet, &catalog, window, day, &events);
+                    stats.ingest_day(&mut fleet, &catalog, window, day, &events, &mut scratch);
                     for tier in Tier::all() {
                         let current = vec![tier; files];
                         features.encode_block(&fleet.view(&batch, day), &current, &mut block);

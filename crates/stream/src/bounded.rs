@@ -197,33 +197,22 @@ impl BoundedStats {
         )
     }
 
-    /// The last `<= window` closed days of reads for `id`, oldest first —
-    /// exact if tracked, otherwise ring-sketch estimates.
-    #[must_use]
-    pub fn window_reads(&self, id: u32) -> Vec<u64> {
+    /// Writes `id`'s last `<= window` closed days, oldest first, into
+    /// `reads` and `writes` (both cleared first) and returns its lifetime
+    /// (read, write) totals: exact if tracked, otherwise ring and lifetime
+    /// sketch estimates, which never fall under the truth.
+    pub fn history_into(&self, id: u32, reads: &mut Vec<u64>, writes: &mut Vec<u64>) -> (u64, u64) {
+        reads.clear();
+        writes.clear();
         if let Some(t) = self.tracked_entry(id) {
-            return t.stats.recent_reads().to_vec();
-        }
-        self.ring.iter().map(|d| d.reads.estimate(u64::from(id))).collect()
-    }
-
-    /// The last `<= window` closed days of writes for `id`, oldest first.
-    #[must_use]
-    pub fn window_writes(&self, id: u32) -> Vec<u64> {
-        if let Some(t) = self.tracked_entry(id) {
-            return t.stats.recent_writes().to_vec();
-        }
-        self.ring.iter().map(|d| d.writes.estimate(u64::from(id))).collect()
-    }
-
-    /// Lifetime (read, write) totals for `id` — exact if tracked, otherwise
-    /// count-min estimates (never under the truth).
-    #[must_use]
-    pub fn lifetime(&self, id: u32) -> (u64, u64) {
-        if let Some(t) = self.tracked_entry(id) {
+            reads.extend_from_slice(t.stats.recent_reads());
+            writes.extend_from_slice(t.stats.recent_writes());
             return (t.stats.sum_reads(), t.stats.sum_writes());
         }
-        (self.life_reads.estimate(u64::from(id)), self.life_writes.estimate(u64::from(id)))
+        let key = u64::from(id);
+        reads.extend(self.ring.iter().map(|d| d.reads.estimate(key)));
+        writes.extend(self.ring.iter().map(|d| d.writes.estimate(key)));
+        (self.life_reads.estimate(key), self.life_writes.estimate(key))
     }
 
     /// Open-day (read, write) counts for `id` — exact if tracked, otherwise
@@ -251,6 +240,14 @@ mod tests {
         Event { hour: 0, file: FileId(ix), reads, writes, bytes: 1 }
     }
 
+    /// `id`'s (window reads, window writes, lifetime totals).
+    fn history(b: &BoundedStats, id: u32) -> (Vec<u64>, Vec<u64>, (u64, u64)) {
+        // Stale contents: history_into must clear them.
+        let (mut reads, mut writes) = (vec![7], vec![7]);
+        let lifetime = b.history_into(id, &mut reads, &mut writes);
+        (reads, writes, lifetime)
+    }
+
     fn tiny() -> BoundedStats {
         BoundedStats::new(BoundedConfig {
             max_tracked: 2,
@@ -275,8 +272,8 @@ mod tests {
         assert_eq!(b.tracked_ids(), vec![0, 1], "the two heavy ids win the tracked slots");
         assert!(b.is_tracked(0) && !b.is_tracked(5));
         // Tracked answers are exact.
-        assert_eq!(b.window_reads(0), vec![101, 102, 103]);
-        assert_eq!(b.lifetime(1), (200, 20));
+        assert_eq!(history(&b, 0).0, vec![101, 102, 103]);
+        assert_eq!(history(&b, 1), (vec![50; 3], vec![5; 3], (200, 20)));
         assert_eq!(b.pending(0), (0, 0));
     }
 
@@ -290,12 +287,12 @@ mod tests {
             b.close_day();
         }
         assert!(!b.is_tracked(7));
-        let win = b.window_reads(7);
-        assert_eq!(win.len(), 3);
+        let (win, win_writes, (lr, lw)) = history(&b, 7);
+        assert_eq!((win.len(), win_writes.len()), (3, 3));
         for (got, want) in win.iter().zip([3u64, 4, 5]) {
             assert!(*got >= want, "sketch window {got} < true {want}");
         }
-        let (lr, lw) = b.lifetime(7);
+        assert!(win_writes.iter().all(|&w| w >= 2));
         assert!(lr >= 12 && lw >= 6);
     }
 
@@ -332,7 +329,7 @@ mod tests {
         assert!(b.is_tracked(9), "surging file must be promoted");
         // Backfilled window exists and respects the no-underestimate bound
         // for the days still in the ring.
-        let win = b.window_reads(9);
+        let win = history(&b, 9).0;
         assert!(!win.is_empty() && win.len() <= 3);
         assert!(win.last().copied().unwrap_or(0) >= 10_000);
     }
@@ -347,6 +344,19 @@ mod tests {
         assert!(b.is_tracked(4));
         b.ingest(&ev(4, 2, 2));
         assert_eq!(b.pending(4), (2, 2), "tracked pending is exact");
+    }
+
+    /// A `BoundedStats` written before the summary became a heap: a full
+    /// heavy-hitter summary (evicted entries carry overestimates), tracked
+    /// windows, a full ring and an open day.
+    const PINNED: &str = include_str!("../../../tests/golden/bounded_stats.json");
+
+    #[test]
+    fn pinned_snapshot_loads_and_saves_byte_identically() {
+        let b: BoundedStats = serde_json::from_str(PINNED).unwrap();
+        assert_eq!(b.heavy.entries().len(), b.heavy.capacity(), "the pinned summary is full");
+        assert!(b.heavy.entries().iter().any(|e| e.overestimate > 0), "and has evicted");
+        assert_eq!(serde_json::to_string(&b).unwrap(), PINNED.trim_end());
     }
 
     #[test]

@@ -10,6 +10,11 @@
 //!
 //! To re-record after an intended behaviour change, run the suite with
 //! `MINICOST_BLESS_GOLDEN=1` and review the diff of the JSON file.
+//!
+//! The suite also kills and restores bounded runs: the heavy-hitter
+//! summary is saved in a canonical order and rebuilt on load, so any
+//! behaviour that leaked from its in-memory layout would make a restored
+//! run diverge from the uninterrupted one.
 
 use minicost::prelude::*;
 use pricing::CostBreakdown;
@@ -50,6 +55,17 @@ fn rl_policy(window: usize) -> RlPolicy {
     RlPolicy::from_params(spec, &spec.build_actor(11).param_vector(), FeatureConfig { window })
 }
 
+/// The ledgers of a finished run, labelled.
+fn golden(case: String, r: SimResult) -> Golden {
+    Golden {
+        case,
+        daily: r.daily,
+        per_file: r.per_file,
+        tier_changes: r.tier_changes,
+        occupancy: r.occupancy,
+    }
+}
+
 fn run_cases() -> Vec<Golden> {
     let trace = Trace::generate(&TraceConfig::small(FILES, DAYS, 41));
     let model = CostModel::new(PricingPolicy::azure_blob_2020());
@@ -65,14 +81,7 @@ fn run_cases() -> Vec<Golden> {
             vec![Box::new(GreedyPolicy), Box::new(rl_policy(cfg.window))];
         for policy in &mut policies {
             let report = serve(&trace, &model, policy.as_mut(), &cfg).expect("serve runs clean");
-            let r = report.result;
-            cases.push(Golden {
-                case: format!("{} every {decide_every}", policy.name()),
-                daily: r.daily,
-                per_file: r.per_file,
-                tier_changes: r.tier_changes,
-                occupancy: r.occupancy,
-            });
+            cases.push(golden(format!("{} every {decide_every}", policy.name()), report.result));
         }
     }
     cases
@@ -119,4 +128,55 @@ fn golden_cases_exercise_decisions() {
         .flat_map(|counts| counts.iter().enumerate().filter(|(_, &n)| n > 0).map(|(t, _)| t))
         .collect::<std::collections::BTreeSet<_>>();
     assert!(rl_tiers_used.len() > 1, "the RL actor must not park the whole fleet in one tier");
+}
+
+/// The bounded statistics in the shutdown snapshot a run left at `path`.
+fn final_stats(path: &std::path::Path) -> stream::BoundedStats {
+    let snapshot = stream::Snapshot::load(path).expect("the run left a snapshot");
+    snapshot.bounded.expect("a bounded run snapshots bounded statistics")
+}
+
+#[test]
+fn killed_bounded_runs_restore_bit_identically() {
+    let trace = Trace::generate(&TraceConfig::small(FILES, DAYS, 41));
+    let model = CostModel::new(PricingPolicy::azure_blob_2020());
+    let dir = std::env::temp_dir().join(format!("minicost-bounded-restore-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    for decide_every in [1usize, 7] {
+        let base = ServeConfig {
+            decide_every,
+            seed: 5,
+            max_tracked: Some(FILES / 10),
+            checkpoint_every: 1,
+            ..ServeConfig::default()
+        };
+        let mut policies: Vec<Box<dyn Policy>> =
+            vec![Box::new(GreedyPolicy), Box::new(rl_policy(base.window))];
+        for policy in &mut policies {
+            let name = format!("{} every {decide_every}", policy.name());
+            let whole_path = dir.join(format!("{}-{decide_every}-whole.json", policy.name()));
+            let whole_cfg =
+                ServeConfig { checkpoint_path: Some(whole_path.clone()), ..base.clone() };
+            let whole = serve(&trace, &model, policy.as_mut(), &whole_cfg).expect("whole run");
+            let whole = golden(name.clone(), whole.result);
+            let whole_stats = final_stats(&whole_path);
+            for kill in [1usize, 12, 23] {
+                let path = dir.join(format!("{}-{decide_every}-{kill}.json", policy.name()));
+                let cfg = ServeConfig { checkpoint_path: Some(path.clone()), ..base.clone() };
+                let cut = ServeConfig { max_days: Some(kill), ..cfg.clone() };
+                let partial = serve(&trace, &model, policy.as_mut(), &cut).expect("killed run");
+                assert_eq!(partial.days_served_through, kill);
+                let resumed = serve(&trace, &model, policy.as_mut(), &cfg).expect("restored run");
+                assert_eq!(resumed.resumed_from_day, Some(kill), "{name}: restore point");
+                assert_eq!(resumed.days_served_through, DAYS);
+                let what = format!("{name}, killed after day {kill}");
+                assert_eq!(golden(name.clone(), resumed.result), whole, "{what}: ledgers differ");
+                // The statistics themselves, heavy-hitter summary included,
+                // end in the same state: a restore that changed an eviction
+                // without moving a bill shows up here.
+                assert!(final_stats(&path) == whole_stats, "{what}: final statistics differ");
+            }
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
